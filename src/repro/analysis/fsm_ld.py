@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocking import BlockingParams
-from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm
+from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm, popcount_gram
 from repro.encoding.fsm import DNA_STATES, FiniteSitesMatrix
 
 __all__ = ["fsm_ld_matrix", "fsm_ld_pair"]
@@ -95,7 +95,7 @@ def fsm_ld_matrix(
     plane_words = [plane.words for plane in matrix.planes]
     n_states = len(DNA_STATES)
 
-    n_ij = popcount_gemm(valid, valid, params=params, kernel=kernel).astype(
+    n_ij = popcount_gram(valid, params=params, kernel=kernel).astype(
         np.float64
     )
     # counts_left[a][i, j] = #samples with state a at SNP i, valid at SNP j.

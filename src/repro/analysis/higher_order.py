@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocking import BlockingParams
-from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm
+from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm, popcount_gram
 from repro.core.ldmatrix import as_bitmatrix
 from repro.encoding.bitmatrix import BitMatrix
 
@@ -104,9 +104,7 @@ def third_order_d_window(
     p = matrix.allele_frequencies()[start:stop]
 
     # Pairwise layer: one GEMM.
-    pair_h = (
-        popcount_gemm(words, words, params=params, kernel=kernel) * inv_n
-    )
+    pair_h = popcount_gram(words, params=params, kernel=kernel) * inv_n
     pair_d = pair_h - np.outer(p, p)
 
     # Triple layer: for each i, GEMM of the i-masked rows against all rows.

@@ -137,13 +137,20 @@ DEFAULT_BLOCKING = BlockingParams(mc=256, nc=2048, kc=512, mr=128, nr=128)
 #: reference kernel and by the machine model, which counts real registers.
 MICRO_BLOCKING = BlockingParams(mc=256, nc=2048, kc=256, mr=8, nr=8)
 
-#: Blocking for the fused macro-kernel (:mod:`repro.core.macrokernel`). The
-#: macro-kernel computes a whole ``mc × nc`` block per call, so ``mc``/``nc``
-#: are large to amortize the per-block bit-plane expansion while ``kc`` is
-#: short: each ``kc`` chunk of 64-allele words expands 64× when unpacked to
-#: bit planes, and kc=64 keeps one expanded operand panel inside the LLC.
-#: ``mr``/``nr`` only affect the popcount fall-back path and the operation
-#: counts; the BLAS contraction has no register tile of its own. Values
-#: selected empirically (see benchmarks/BENCH_gemm.json); ``repro tune`` can
-#: re-derive them per machine.
+#: Blocking for the fused macro-kernel (:mod:`repro.core.macrokernel`). BLAS
+#: does its own cache blocking inside each ``np.matmul``, so these values do
+#: not target cache levels; they set how often packed words are expanded to
+#: float32 bit planes and how large the expanded panels get. B planes are
+#: expanded once per (``nc`` strip, k-chunk) and A planes once per (``mc``
+#: block, strip, k-chunk), so a large ``nc`` amortizes the A expansion and a
+#: large ``mc`` keeps each BLAS call big. ``kc`` is short because each word
+#: expands 64× (to 256 bytes of float32): kc=64 makes a panel 16 KiB per SNP
+#: row, 32 MiB for an ``mc`` block and 64 MiB for an ``nc`` strip. A Gram
+#: square of up to ``mc`` SNPs — every engine tile and ``ld_matrix`` region
+#: at the default sizes — is a single diagonal block and takes the ``ssyrk``
+#: path; larger squares have rectangular diagonal blocks (``mc != nc``) and
+#: contract them as general GEMMs. ``mr``/``nr`` only affect the popcount
+#: fall-back path and the operation counts; the BLAS contraction has no
+#: register tile of its own. Values selected empirically (see
+#: benchmarks/BENCH_gemm.json); ``repro tune`` can re-derive them per machine.
 FUSED_BLOCKING = BlockingParams(mc=2048, nc=4096, kc=64, mr=8, nr=8)

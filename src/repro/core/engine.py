@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core.banding import BandSpec, dense_tile_count
 from repro.core.blocking import BlockingParams
-from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm
+from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm, popcount_gram
 from repro.core.ldmatrix import as_bitmatrix
 from repro.core.stats import r_squared_matrix
 from repro.encoding.bitmatrix import BitMatrix
@@ -187,22 +187,33 @@ def compute_tile(
 ) -> np.ndarray:
     """Compute one statistic block from the packed words (pure function).
 
-    This is the whole per-tile work unit — one rectangular popcount GEMM
-    plus the elementwise statistic — factored out so the serial loop,
-    thread workers, and shared-memory process workers run byte-identical
-    code. An optional *recorder* is forwarded to the blocked GEMM driver
-    (in-process callers only; pool workers compute without one and their
-    timings travel back in :class:`TileResult`).
+    This is the whole per-tile work unit — one popcount GEMM (the
+    symmetric Gram driver for a tile on the diagonal, a rectangular GEMM
+    otherwise) plus the elementwise statistic — factored out so the
+    serial loop, thread workers, and shared-memory process workers run
+    byte-identical code. An optional *recorder* is forwarded to the
+    blocked GEMM driver (in-process callers only; pool workers compute
+    without one and their timings travel back in :class:`TileResult`).
     """
     if stat not in _ENGINE_STATS:
         raise ValueError(f"unknown LD statistic {stat!r}; choose r2/D/H")
-    counts = popcount_gemm(
-        words[tile.i0 : tile.i1],
-        words[tile.j0 : tile.j1],
-        params=params,
-        kernel=kernel,
-        recorder=recorder,
-    )
+    if tile.i0 == tile.j0 and tile.i1 == tile.j1:
+        # Diagonal tile: the symmetric Gram driver contracts each
+        # diagonal block once (SYRK) and mirrors it in place.
+        counts = popcount_gram(
+            words[tile.i0 : tile.i1],
+            params=params,
+            kernel=kernel,
+            recorder=recorder,
+        )
+    else:
+        counts = popcount_gemm(
+            words[tile.i0 : tile.i1],
+            words[tile.j0 : tile.j1],
+            params=params,
+            kernel=kernel,
+            recorder=recorder,
+        )
     # Divide (rather than multiply by a reciprocal) so tiles are
     # bit-identical to the in-memory pipeline's H = counts / N.
     with span("stat"):

@@ -23,8 +23,9 @@ Four interchangeable kernels drive the nest (:data:`GEMM_KERNELS`):
 
 - ``"fused"`` (default): the bit-plane BLAS macro-kernel
   (:func:`repro.core.macrokernel.macrokernel_fused`) — whole cache blocks
-  per call, zero hot-loop allocation, exact by the float32 integer-range
-  argument documented there.
+  per call, zero hot-loop allocation, ``ssyrk`` on the diagonal blocks of
+  a Gram traversal, exact by the float32 integer-range argument
+  documented there.
 - ``"fused-popcount"``: the allocation-free AND/POPCNT/SUM macro-kernel,
   same instruction mix the machine model prices.
 - ``"numpy"`` / ``"scalar"``: the original per-micro-tile kernels from
@@ -315,9 +316,12 @@ def popcount_gram(
     Skips blocks and micro-tiles strictly above the diagonal and mirrors the
     lower triangle in place afterwards — the N(N+1)/2 pairwise-count
     traversal the paper reports for the GEMM implementation (Section VI),
-    without the two full ``m × m`` temporaries the old ``np.tril`` mirror
-    allocated. *recorder* behaves as in :func:`popcount_gemm`, emitting
-    ``gram`` events/counters.
+    without the two full ``m × m`` temporaries an ``np.tril`` mirror would
+    allocate. With the ``"fused"`` kernel each square diagonal block is
+    contracted from one bit-plane expansion per k-chunk as a symmetric
+    rank-k update (``ssyrk``). Every square caller (``ld_matrix``, engine
+    diagonal tiles) routes here. *recorder* behaves as in
+    :func:`popcount_gemm`, emitting ``gram`` events/counters.
     """
     from repro.core.macrokernel import mirror_lower_inplace
 

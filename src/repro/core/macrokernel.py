@@ -5,19 +5,25 @@ allocator overhead per ``m_r × n_r`` tile. This module raises the unit of
 work to an entire ``m_c × n_c`` cache block (one *macro-kernel* call per
 block, chunked over k), with every temporary carved from a caller-owned
 :class:`GemmWorkspace` — after warm-up the hot loop performs **zero**
-allocations.
+workspace-scale allocations.
 
 Two macro-kernels are provided:
 
 ``macrokernel_fused``
-    The production path. Each k-chunk of packed words is expanded to ±0/1
-    *bit planes* in float32 and the block is contracted with one BLAS
-    ``sgemm`` (``np.matmul``). This is exact, not approximate: every partial
-    product is 0 or 1 and every partial sum is an integer bounded by
-    ``64 · k_chunk ≤ 2²⁴``, below the float32 integer-exactness limit, so the
-    result is bit-identical to the popcount formulation regardless of BLAS
-    summation order or threading. It restates the paper's thesis — LD *is*
-    dense linear algebra — by handing the inner loop to the best dense
+    The production path. Each k-chunk of packed words is expanded to 0/1
+    *bit planes* in float32 — one ``np.unpackbits`` over the words' bytes,
+    cast-assigned into a workspace panel — and the block is contracted
+    with one BLAS call (``np.matmul``) per k-chunk. Off-diagonal blocks
+    are a general ``sgemm``; in a Gram traversal (``symmetric=True``) a
+    square block on the diagonal reuses the already expanded B planes as
+    A and multiplies that buffer by its own transpose, which numpy hands
+    to ``ssyrk`` — no A expansion and roughly half the flops. This is
+    exact, not approximate: every partial product is 0 or 1 and every
+    partial sum is an integer bounded by ``64 · k_chunk ≤ 2²⁴``, below the
+    float32 integer-exactness limit, so the result is bit-identical to the
+    popcount formulation regardless of BLAS kernel, summation order or
+    threading. It restates the paper's thesis — LD *is* dense linear
+    algebra — by handing the inner loop to the best structure-aware dense
     kernel on the machine.
 
 ``macrokernel_popcount``
@@ -35,6 +41,7 @@ workspace-carved packed slivers / accumulator block).
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -51,11 +58,6 @@ __all__ = [
     "mirror_lower_inplace",
 ]
 
-#: Bit positions within one byte, LSB first (numpy uint64 is little-endian in
-#: memory, so byte b, bit s of a word is allele index 8·b + s — both operands
-#: use the same order, and the contraction is order-invariant anyway).
-_SHIFTS = np.arange(8, dtype=np.uint8)
-
 #: Exactness cap: one k-chunk may contribute at most 64 · kc counts to a
 #: float32 partial sum, which must stay ≤ 2²⁴ (the float32 integer limit).
 _EXACT_KC_WORDS = 1 << 18
@@ -65,6 +67,11 @@ _EXACT_KC_WORDS = 1 << 18
 #: ``_PANEL_BUDGET_WORDS · 64`` bits (= 128 MiB of float32) regardless of how
 #: large a ``kc`` the caller requests.
 _PANEL_BUDGET_WORDS = 1 << 19
+
+#: Cap on the uint8 temporary ``np.unpackbits`` returns (it has no ``out=``):
+#: panels are expanded in row chunks of at most this many bytes, so the one
+#: per-call allocation of the expansion stays small and L2-resident.
+_UNPACK_CHUNK_BYTES = 1 << 17
 
 #: Inner k-chunk (words) for the popcount macro-kernel: short chunks keep the
 #: (chunk, mr, nr) joint/popcount temporaries L1/L2-resident (measured best
@@ -149,19 +156,24 @@ def _unpack_bits_f32(
 ) -> None:
     """Expand ``(rows, kw)`` uint64 words into ``(rows, kw·64)`` 0/1 float32.
 
-    All temporaries are workspace-carved: the strided word slice is staged
-    contiguous, viewed as bytes, shifted against the 8 bit positions with an
-    ``out=`` broadcast, masked in place, and cast-assigned into the float32
-    bit-plane panel.
+    The (possibly strided) word slice is staged contiguous in a
+    workspace-carved pool and viewed as bytes; ``np.unpackbits`` with
+    ``bitorder="little"`` then yields the bits LSB first, so bit ``s`` of
+    byte ``b`` lands in plane ``8·b + s`` — both operands use the same
+    order, and the contraction is order-invariant anyway. The uint8 result
+    is cast-assigned into the float32 bit-plane panel *out_f32*. Rows are
+    expanded in chunks of at most :data:`_UNPACK_CHUNK_BYTES`, bounding the
+    only temporary (``np.unpackbits`` has no ``out=``).
     """
     rows, kw = words.shape
     staged = workspace.carve(tag + ".words", np.uint64, (rows, kw))
     staged[...] = words
     as_bytes = staged.view(np.uint8)  # (rows, kw·8)
-    bits = workspace.carve(tag + ".bits", np.uint8, (rows, kw * 8, 8))
-    np.right_shift(as_bytes[:, :, None], _SHIFTS[None, None, :], out=bits)
-    np.bitwise_and(bits, 1, out=bits)
-    out_f32[...] = bits.reshape(rows, kw * 64)
+    step = max(1, _UNPACK_CHUNK_BYTES // (kw * 64))
+    for r0 in range(0, rows, step):
+        out_f32[r0 : r0 + step] = np.unpackbits(
+            as_bytes[r0 : r0 + step], axis=1, bitorder="little"
+        )
 
 
 def _fused_k_step(kc: int, rows_max: int) -> int:
@@ -198,6 +210,13 @@ def macrokernel_fused(
         Global coordinates of ``c_strip[0, 0]``; with ``symmetric=True``,
         ``m_c`` row blocks strictly above the diagonal are skipped (the
         Gram traversal of Section VI).
+    symmetric:
+        Gram traversal: the caller guarantees ``b_rows`` are the A rows
+        starting at global row ``col_offset``. A row block that covers
+        exactly the strip's diagonal square is then contracted as
+        ``B · Bᵀ`` from the B planes alone (``ssyrk``), skipping its A
+        expansion; it yields the full symmetric square, so values above
+        the diagonal are valid too.
     """
     m, k = a_words.shape
     n_eff = b_rows.shape[0]
@@ -217,12 +236,21 @@ def macrokernel_fused(
             mc_eff = min(mc, m - ic)
             if symmetric and row_offset + ic + mc_eff <= col_offset:
                 continue
-            with span("pack_a"):
-                a_f32 = workspace.carve("fused.a_f32", np.float32, (mc_eff, kb))
-                _unpack_bits_f32(
-                    workspace, "fused.a",
-                    a_words[ic : ic + mc_eff, pc : pc + kc_eff], a_f32,
-                )
+            diagonal = (
+                symmetric and row_offset + ic == col_offset and mc_eff == n_eff
+            )
+            if diagonal:
+                # One buffer times its own transpose: numpy calls ssyrk.
+                a_f32 = b_f32
+            else:
+                with span("pack_a"):
+                    a_f32 = workspace.carve(
+                        "fused.a_f32", np.float32, (mc_eff, kb)
+                    )
+                    _unpack_bits_f32(
+                        workspace, "fused.a",
+                        a_words[ic : ic + mc_eff, pc : pc + kc_eff], a_f32,
+                    )
             with span("plane_matmul"):
                 c_f32 = workspace.carve(
                     "fused.c_f32", np.float32, (mc_eff, n_eff)
@@ -320,13 +348,21 @@ def macrokernel_popcount(
     return tile_visits
 
 
-def mirror_lower_inplace(c: np.ndarray, *, block: int = 256) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def _strict_upper_mask(size: int) -> np.ndarray:
+    """Read-only ``(size, size)`` mask of the strictly upper triangle."""
+    mask = np.triu(np.ones((size, size), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def mirror_lower_inplace(c: np.ndarray, *, block: int = 64) -> np.ndarray:
     """Reflect the lower triangle of square *c* onto the upper, in place.
 
     Replaces the ``np.tril(c) + np.tril(c, -1).T`` idiom, which materializes
-    two full ``m × m`` copies; this walks diagonal blocks with bounded
-    ``block × block`` staging (off-diagonal strips are disjoint transposed
-    assignments with no staging at all).
+    two full ``m × m`` copies; this walks diagonal blocks: off-diagonal
+    strips are disjoint transposed assignments, and each ``block × block``
+    diagonal block copies its transpose through a cached strict-upper mask.
     """
     m = c.shape[0]
     if c.ndim != 2 or c.shape[1] != m:
@@ -339,6 +375,5 @@ def mirror_lower_inplace(c: np.ndarray, *, block: int = 256) -> np.ndarray:
             # the block.
             c[j0:j1, j1:] = c[j1:, j0:j1].T
             diag = c[j0:j1, j0:j1]
-            low = np.tril_indices(j1 - j0, -1)
-            diag.T[low] = diag[low]
+            np.copyto(diag, diag.T, where=_strict_upper_mask(j1 - j0))
     return c

@@ -31,7 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core.blocking import BlockingParams
-from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm
+from repro.core.gemm import DEFAULT_KERNEL, popcount_gemm, popcount_gram
+from repro.core.macrokernel import mirror_lower_inplace
 
 __all__ = ["partition_ranges", "partition_triangle_rows", "popcount_gemm_parallel"]
 
@@ -99,19 +100,28 @@ def popcount_gemm_parallel(
     if n_threads <= 0:
         raise ValueError(f"n_threads must be positive, got {n_threads}")
     symmetric = b_words is None
+    if symmetric:
+        ranges = partition_triangle_rows(a_words.shape[0], n_threads)
+        if len(ranges) <= 1:
+            return popcount_gram(a_words, params=params, kernel=kernel)
     b = a_words if symmetric else b_words
     m = a_words.shape[0]
     n = b.shape[0]
     c = np.zeros((m, n), dtype=np.int64)
 
     if symmetric:
-        ranges = partition_triangle_rows(m, n_threads)
 
         def run(row_range: tuple[int, int]) -> None:
             lo, hi = row_range
-            # Rows [lo, hi) of the lower triangle need columns [0, hi).
-            c[lo:hi, :hi] = popcount_gemm(
-                a_words[lo:hi], b[:hi], params=params, kernel=kernel
+            # Rows [lo, hi) of the lower triangle: a rectangle left of the
+            # diagonal plus the square on it, which the Gram driver
+            # contracts as a symmetric block.
+            if lo:
+                c[lo:hi, :lo] = popcount_gemm(
+                    a_words[lo:hi], b[:lo], params=params, kernel=kernel
+                )
+            c[lo:hi, lo:hi] = popcount_gram(
+                a_words[lo:hi], params=params, kernel=kernel
             )
 
     else:
@@ -132,6 +142,5 @@ def popcount_gemm_parallel(
             list(pool.map(run, ranges))
 
     if symmetric:
-        lower = np.tril(c)
-        return lower + np.tril(lower, -1).T
+        mirror_lower_inplace(c)
     return c

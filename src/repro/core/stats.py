@@ -93,10 +93,19 @@ def r_squared_matrix(
         PLINK-compatible behaviour.
     """
     h, p, q = _check_freqs(h, p, q)
-    d = h - np.outer(p, q)
-    denom = np.outer(p * (1.0 - p), q * (1.0 - q))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(denom > 0.0, (d * d) / denom, undefined)
+    # Same operations, in the same order, as
+    # ``np.where(denom > 0, (d * d) / denom, undefined)`` — bit-identical —
+    # but squared, divided and filled in place in the ``d`` buffer, so the
+    # epilogue holds two m × n float64 arrays (plus a bool mask) instead of
+    # six.
+    r2 = np.multiply.outer(p, q)
+    np.subtract(h, r2, out=r2)
+    np.multiply(r2, r2, out=r2)
+    denom = np.multiply.outer(p * (1.0 - p), q * (1.0 - q))
+    defined = denom > 0.0
+    np.divide(r2, denom, out=r2, where=defined)
+    np.logical_not(defined, out=defined)
+    r2[defined] = undefined
     return r2
 
 

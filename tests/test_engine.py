@@ -11,11 +11,14 @@ from repro.core.engine import (
     ENGINES,
     TileManifest,
     TileTask,
+    compute_tile,
     enumerate_tiles,
     input_fingerprint,
     run_engine,
 )
+from repro.core.gemm import popcount_gemm
 from repro.core.ldmatrix import as_bitmatrix, ld_matrix
+from repro.core.stats import r_squared_matrix
 from repro.core.streaming import NpyMemmapSink
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.observe import MetricsRecorder
@@ -130,6 +133,42 @@ class _AssemblingSink:
     def __call__(self, i0: int, j0: int, block: np.ndarray) -> None:
         self.calls.append((i0, j0))
         self.matrix[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
+
+
+class TestComputeTile:
+    @pytest.mark.parametrize("stat", ["r2", "D", "H"])
+    @pytest.mark.parametrize("bounds", [(0, 37), (8, 24), (30, 37)])
+    def test_diagonal_tile_matches_general_gemm(self, panel, stat, bounds):
+        # Diagonal tiles take the symmetric Gram path; the result must be
+        # bit-identical to contracting the square as a general GEMM.
+        panel[:, 10] = 0  # a monomorphic SNP inside two of the tiles
+        matrix = as_bitmatrix(panel)
+        freqs = matrix.allele_frequencies()
+        i0, i1 = bounds
+        block = compute_tile(
+            matrix.words, freqs, matrix.n_samples, TileTask(i0, i1, i0, i1),
+            stat=stat,
+        )
+        rows = matrix.words[i0:i1]
+        h = popcount_gemm(rows, rows) / float(matrix.n_samples)
+        p = freqs[i0:i1]
+        expected = {
+            "H": h,
+            "D": h - np.outer(p, p),
+            "r2": r_squared_matrix(h, p, p),
+        }[stat]
+        assert block.tobytes() == expected.tobytes()
+
+    def test_diagonal_tile_uses_gram_driver(self, panel):
+        matrix = as_bitmatrix(panel)
+        freqs = matrix.allele_frequencies()
+        recorder = MetricsRecorder()
+        for tile in (TileTask(8, 16, 8, 16), TileTask(16, 24, 8, 16)):
+            compute_tile(
+                matrix.words, freqs, matrix.n_samples, tile, recorder=recorder
+            )
+        assert recorder.counters["gram.calls"] == 1
+        assert recorder.counters["gemm.calls"] == 1
 
 
 class TestRunEngine:

@@ -22,8 +22,10 @@ from repro.core.gemm import (
     popcount_gram,
     resolve_blocking,
 )
+from repro.core import macrokernel
 from repro.core.macrokernel import (
     GemmWorkspace,
+    _unpack_bits_f32,
     macrokernel_fused,
     mirror_lower_inplace,
     shared_workspace,
@@ -90,6 +92,86 @@ class TestBitIdentity:
             popcount_gram(a, kernel="fused"),
             popcount_gram(a, kernel="numpy"),
         )
+
+
+def reference_planes(words: np.ndarray) -> np.ndarray:
+    """Plane ``64·w + s`` is bit ``s`` of word ``w`` (shift/mask on uint64)."""
+    shifts = np.arange(64, dtype=np.uint64)
+    bits = (words[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
+    return bits.reshape(words.shape[0], -1).astype(np.float32)
+
+
+class TestUnpackBits:
+    @pytest.mark.parametrize("rows,kw", [(1, 1), (7, 1), (33, 3), (5, 17)])
+    def test_matches_reference_with_top_bit_set(self, rows, kw):
+        words = make_words(rows, kw, seed=rows * 31 + kw)
+        words[:, 0] |= np.uint64(1 << 63)
+        words[0, -1] = np.uint64(0xFFFFFFFFFFFFFFFF)
+        out = np.empty((rows, kw * 64), dtype=np.float32)
+        _unpack_bits_f32(GemmWorkspace(), "t", words, out)
+        np.testing.assert_array_equal(out, reference_planes(words))
+        assert out[0, kw * 64 - 64 :].min() == 1.0
+        assert np.all(out[:, 63] == 1.0)
+
+    def test_strided_slice(self):
+        words = make_words(40, 12, seed=9)
+        view = words[3:37:2, 4:9]  # strided rows and a column window
+        assert not view.flags.c_contiguous
+        out = np.empty((view.shape[0], view.shape[1] * 64), dtype=np.float32)
+        _unpack_bits_f32(GemmWorkspace(), "t", view, out)
+        np.testing.assert_array_equal(out, reference_planes(view))
+
+    def test_row_chunking(self, monkeypatch):
+        # A chunk budget below one row's planes still expands every row.
+        monkeypatch.setattr(macrokernel, "_UNPACK_CHUNK_BYTES", 100)
+        words = make_words(9, 2, seed=10)
+        out = np.empty((9, 128), dtype=np.float32)
+        _unpack_bits_f32(GemmWorkspace(), "t", words, out)
+        np.testing.assert_array_equal(out, reference_planes(words))
+
+
+#: Blockings for the Gram fast path: ``mc == nc`` puts a square diagonal
+#: block in every strip (each takes the SYRK path); ``mc != nc`` leaves
+#: diagonal blocks that are rectangular or offset (general path).
+GRAM_BLOCKINGS = {
+    "mc==nc": BlockingParams(mc=8, nc=8, kc=2, mr=4, nr=4),
+    "mc<nc": BlockingParams(mc=8, nc=16, kc=3, mr=4, nr=4),
+    "mc>nc": BlockingParams(mc=12, nc=8, kc=4, mr=4, nr=4),
+}
+
+
+class TestGramFastPath:
+    @pytest.mark.parametrize("m,k", [(1, 1), (8, 2), (17, 3), (29, 5), (40, 1)])
+    @pytest.mark.parametrize("blocking", sorted(GRAM_BLOCKINGS))
+    @pytest.mark.parametrize("kernel", sorted(GEMM_KERNELS))
+    def test_gram_matches_general_gemm(self, m, k, blocking, kernel):
+        params = GRAM_BLOCKINGS[blocking]
+        a = make_words(m, k, seed=m * 13 + k)
+        np.testing.assert_array_equal(
+            popcount_gram(a, kernel=kernel, params=params),
+            popcount_gemm(a, a, kernel=kernel, params=params),
+        )
+
+    def test_default_blocking_gram_matches_general_gemm(self):
+        a = make_words(300, 70, seed=12)  # k spans two kc=64 chunks
+        np.testing.assert_array_equal(popcount_gram(a), popcount_gemm(a, a))
+
+    def test_square_block_expands_each_k_chunk_once(self, monkeypatch):
+        calls = []
+        original = macrokernel._unpack_bits_f32
+
+        def counting(workspace, tag, words, out_f32):
+            calls.append(tag)
+            original(workspace, tag, words, out_f32)
+
+        monkeypatch.setattr(macrokernel, "_unpack_bits_f32", counting)
+        params = BlockingParams(mc=32, nc=32, kc=2, mr=4, nr=4)
+        a = make_words(32, 5, seed=14)  # one block, three k-chunks
+        popcount_gram(a, params=params)
+        assert calls == ["fused.b"] * 3
+        calls.clear()
+        popcount_gemm(a, a, params=params)  # general path expands A too
+        assert sorted(calls) == ["fused.a"] * 3 + ["fused.b"] * 3
 
 
 class TestWorkspace:

@@ -11,6 +11,7 @@ from repro.core.parallel import (
     popcount_gemm_parallel,
 )
 from repro.encoding.bitmatrix import pack_bits
+from repro.observe.spans import profiling
 from tests.conftest import reference_counts
 
 
@@ -96,6 +97,16 @@ class TestPopcountGemmParallel:
         words = pack_bits(dense)
         got = popcount_gemm_parallel(words, None, n_threads=n_threads)
         np.testing.assert_array_equal(got, reference_counts(dense))
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_symmetric_routes_through_gram(self, rng, n_threads):
+        # Squares go to the Gram driver; no np.tril mirror copies remain.
+        words = pack_bits(rng.integers(0, 2, size=(90, 40)).astype(np.uint8))
+        with profiling() as profiler:
+            popcount_gemm_parallel(words, None, n_threads=n_threads)
+        totals = profiler.totals()
+        assert totals["gram"]["count"] == n_threads
+        assert ("gemm" in totals) == (n_threads > 1)
 
     @pytest.mark.parametrize("n_threads", [1, 2, 5])
     def test_cross_matches_serial(self, rng, n_threads):

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.blocking import BlockingParams
 from repro.core.engine import run_engine
 from repro.core.gemm import popcount_gemm, popcount_gram
 from repro.core.ldmatrix import ld_matrix
@@ -169,9 +170,12 @@ class TestNullProfilerAndInstall:
 
 class TestKernelSpans:
     def test_gram_records_all_kernel_phases(self, rng):
+        # Several row blocks per strip: diagonal blocks take the SYRK path
+        # (no pack_a), the blocks below them pack A as a general GEMM.
         a = rng.integers(0, 2**60, size=(96, 3), dtype=np.uint64)
+        params = BlockingParams(mc=32, nc=32, kc=2, mr=8, nr=8)
         with profiling() as profiler:
-            popcount_gram(a)
+            popcount_gram(a, params=params)
         totals = profiler.totals()
         assert {"gram", "pack_a", "pack_b", "plane_matmul", "copy_out",
                 "mirror"} <= set(totals)
@@ -185,6 +189,16 @@ class TestKernelSpans:
         assert root["inclusive_seconds"] == pytest.approx(
             root["seconds"] + children, rel=0.02
         )
+
+    def test_single_block_gram_skips_pack_a(self, rng):
+        # One square diagonal block: B · Bᵀ from the B planes alone.
+        a = rng.integers(0, 2**60, size=(96, 3), dtype=np.uint64)
+        with profiling() as profiler:
+            popcount_gram(a)
+        totals = profiler.totals()
+        assert {"gram", "pack_b", "plane_matmul", "copy_out",
+                "mirror"} <= set(totals)
+        assert "pack_a" not in totals
 
     def test_gemm_records_under_gemm_root(self, rng):
         a = rng.integers(0, 2**60, size=(40, 2), dtype=np.uint64)

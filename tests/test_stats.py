@@ -103,6 +103,30 @@ class TestRSquaredMatrix:
         r2 = r_squared_matrix(h, p, undefined=0.0)
         np.testing.assert_array_equal(r2, 0.0)
 
+    @pytest.mark.parametrize("undefined", [np.nan, 0.0])
+    def test_bit_identical_to_where_expression(self, rng, undefined):
+        # The in-place epilogue must match the five-temporary expression
+        # byte for byte, including monomorphic SNPs on either side.
+        dense = rng.integers(0, 2, size=(97, 23)).astype(np.uint8)
+        dense[:, 3] = 0
+        dense[:, 11] = 1
+        h, p = ld_inputs(dense)
+        q = p[::-1].copy()
+        d = h - np.outer(p, q)
+        denom = np.outer(p * (1.0 - p), q * (1.0 - q))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.where(denom > 0.0, (d * d) / denom, undefined)
+        result = r_squared_matrix(h, p, q, undefined=undefined)
+        assert result.tobytes() == expected.tobytes()
+        assert np.isnan(result[3]).all() == np.isnan(undefined)
+
+    def test_does_not_modify_inputs(self, small_panel):
+        h, p = ld_inputs(small_panel)
+        h0, p0 = h.copy(), p.copy()
+        r_squared_matrix(h, p)
+        np.testing.assert_array_equal(h, h0)
+        np.testing.assert_array_equal(p, p0)
+
     def test_matches_pearson_correlation(self, rng):
         """r2 equals squared Pearson correlation of the allele indicators."""
         dense = rng.integers(0, 2, size=(400, 5)).astype(float)
