@@ -210,13 +210,16 @@ def ld_pairs(
         raise ValueError(f"pairs must have shape (n_pairs, 2), got {pairs.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= matrix.n_snps):
         raise ValueError("pair indices out of range")
+    if matrix.n_samples == 0:
+        raise ValueError("allele frequencies undefined for zero samples")
     n = float(matrix.n_samples)
     left = matrix.words[pairs[:, 0]]
     right = matrix.words[pairs[:, 1]]
     joint = np.bitwise_count(left & right).sum(axis=1, dtype=np.int64)
-    freqs = matrix.allele_frequencies()
-    p = freqs[pairs[:, 0]]
-    q = freqs[pairs[:, 1]]
+    # Frequencies of the gathered rows only: the same integer counts and
+    # division as BitMatrix.allele_frequencies, without a whole-panel pass.
+    p = np.bitwise_count(left).sum(axis=1, dtype=np.int64) / n
+    q = np.bitwise_count(right).sum(axis=1, dtype=np.int64) / n
     h = joint / n
     d = h - p * q
     if stat == "D":

@@ -15,6 +15,7 @@ and sliding-window consumers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,15 @@ class BandedLDMatrix:
         return dense
 
     def n_pairs(self) -> int:
-        """Number of stored (i <= j) pairs, diagonal included."""
-        n, w = self.n_snps, self.window
-        return sum(min(w, n - 1 - i) + 1 for i in range(n))
+        """Number of stored (i <= j) pairs, diagonal included.
+
+        Every row holds ``w + 1`` pairs except the last ``w``, which run
+        past the last SNP and lose ``1..w`` of them:
+        ``n·(w + 1) − w·(w + 1)/2`` with ``w = min(window, n − 1)``.
+        """
+        n = self.n_snps
+        w = min(self.window, n - 1)
+        return n * (w + 1) - w * (w + 1) // 2
 
     def mean_by_distance(self) -> np.ndarray:
         """Mean statistic per index distance ``d = 0..window`` (NaN-aware)."""
@@ -87,10 +94,25 @@ class BandedLDMatrix:
             return np.nanmean(self.values, axis=0)
 
 
+@functools.lru_cache(maxsize=256)
+def _band_write_mask(
+    offset: int, rows: int, cols: int, window: int
+) -> np.ndarray:
+    """Read-only ``(rows, cols)`` mask of ``0 <= i − j <= window``.
+
+    *offset* is ``i0 − j0``; the mask depends only on it and the tile
+    shape, so every interior tile of a sweep shares one array.
+    """
+    d = offset + np.arange(rows)[:, None] - np.arange(cols)[None, :]
+    mask = (d >= 0) & (d <= window)
+    mask.setflags(write=False)
+    return mask
+
+
 def write_banded_block(
     values: np.ndarray, window: int, i0: int, j0: int, block: np.ndarray
 ) -> None:
-    """Scatter one lower-triangle tile into a diagonal-major band store.
+    """Write one lower-triangle tile into a diagonal-major band store.
 
     The statistic for pair ``(i, j)`` with ``i >= j`` lands at
     ``values[j, i - j]``; cells of *block* outside the band or above the
@@ -98,16 +120,76 @@ def write_banded_block(
     symmetric stats) are ignored. This is the shared translation between
     the engine's ``(i0, j0, block)`` sink protocol and the ``(n, W+1)``
     layout :class:`BandedLDMatrix` defines.
+
+    The tile is written by one masked ``np.copyto`` through a skewed
+    view of the store. With ``W = values.shape[1] − 1`` (the store's
+    width, which may exceed *window*), slot ``values[j, d]`` sits at
+    element ``j·(W+1) + d`` of the flat C-order buffer, so pair
+    ``(i, j)`` sits at ``j·W + i``, linear in both indices. The view therefore starts at
+    element ``j0·(W+1) + (i0 − j0)`` with strides ``(itemsize,
+    row_stride − itemsize)``: ``view[r, c]`` is
+    ``values[j0 + c, (i0 + r) − (j0 + c)]``. It is built on the base
+    ndarray (``np.asarray``), so a memmap store costs one view per tile
+    rather than a subclass view per column.
+
+    The band mask ``0 <= i − j <= window`` is also the aliasing guard.
+    A view cell with ``i − j < 0`` addresses the tail of row ``j − 1``,
+    and one with ``i − j > W`` addresses the head of row ``j + 1``;
+    those cells alias other pairs' slots and must never be written, so
+    the mask is applied even to tiles that lie wholly inside the band's
+    index range. Tiles with no in-band cell return without building the
+    view.
+
+    Raises
+    ------
+    ValueError
+        If *values* is not a C-contiguous 2-D array (a flat reshape of
+        anything else is a copy, and the writes would be lost), if
+        ``i0 < j0`` or either origin is negative, if the tile runs past
+        the last row, if *window* is negative or wider than the store
+        (``window > values.shape[1] − 1``), or if the view's lowest or
+        highest element falls outside the buffer.
     """
+    if values.ndim != 2 or not values.flags.c_contiguous:
+        raise ValueError(
+            "band store must be a C-contiguous 2-D array; got "
+            f"shape {values.shape} with strides {values.strides}"
+        )
+    n, width = values.shape
     rows, cols = block.shape
-    for b in range(cols):
-        j = j0 + b
-        lo = max(i0, j)
-        hi = min(i0 + rows - 1, j + window)
-        if hi < lo:
-            continue
-        d0 = lo - j
-        values[j, d0 : d0 + hi - lo + 1] = block[lo - i0 : hi - i0 + 1, b]
+    if j0 < 0 or i0 < j0:
+        raise ValueError(
+            f"tile origin ({i0}, {j0}) is not in the lower triangle "
+            "(need i0 >= j0 >= 0)"
+        )
+    if i0 + rows > n or j0 + cols > n:
+        raise ValueError(
+            f"tile ({i0}, {j0}) of shape {block.shape} runs past the "
+            f"store's {n} rows"
+        )
+    if not 0 <= window <= width - 1:
+        raise ValueError(
+            f"window {window} does not fit a store of width {width} "
+            f"(at most {width - 1})"
+        )
+    offset = i0 - j0
+    if rows == 0 or cols == 0 or offset - (cols - 1) > window:
+        return
+    base = np.asarray(values).reshape(-1)
+    start = j0 * width + offset
+    last = start + (rows - 1) + (cols - 1) * (width - 1)
+    if start < 0 or last >= base.size:
+        raise ValueError(
+            f"skewed view [{start}, {last}] of tile ({i0}, {j0}) lies "
+            f"outside the {base.size}-element store"
+        )
+    item = base.itemsize
+    view = np.lib.stride_tricks.as_strided(
+        base[start:],
+        shape=(rows, cols),
+        strides=(item, (width - 1) * item),
+    )
+    np.copyto(view, block, where=_band_write_mask(offset, rows, cols, window))
 
 
 def banded_ld(

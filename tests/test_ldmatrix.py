@@ -153,6 +153,50 @@ class TestLdPairs:
     def test_empty_pairs(self, small_panel):
         assert ld_pairs(small_panel, np.empty((0, 2), dtype=int)).size == 0
 
+    @pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 137, 200])
+    @pytest.mark.parametrize("stat", ["r2", "D", "H", "Dprime"])
+    def test_gathered_frequencies_bit_identical_to_panel_frequencies(
+        self, rng, n_samples, stat
+    ):
+        """ld_pairs counts alleles on the rows it gathers; the result must
+        be bit-identical to one built from whole-panel frequencies."""
+        dense = rng.integers(0, 2, size=(n_samples, 30)).astype(np.uint8)
+        dense[:, 4] = 0  # monomorphic, absent
+        dense[:, 9] = 1  # monomorphic, fixed
+        bm = BitMatrix.from_dense(dense)
+        pairs = rng.integers(0, 30, size=(200, 2))
+        pairs[:6] = [[4, 9], [9, 4], [4, 4], [9, 0], [0, 4], [3, 3]]
+        freqs = bm.allele_frequencies()
+        p, q = freqs[pairs[:, 0]], freqs[pairs[:, 1]]
+        joint = np.bitwise_count(
+            bm.words[pairs[:, 0]] & bm.words[pairs[:, 1]]
+        ).sum(axis=1, dtype=np.int64)
+        h = joint / float(n_samples)
+        d = h - p * q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if stat == "H":
+                expected = h
+            elif stat == "D":
+                expected = d
+            elif stat == "r2":
+                denom = p * q * (1.0 - p) * (1.0 - q)
+                expected = np.where(denom > 0.0, d * d / denom, np.nan)
+            else:
+                pos_max = np.minimum(p * (1.0 - q), (1.0 - p) * q)
+                neg_max = np.minimum(p * q, (1.0 - p) * (1.0 - q))
+                d_max = np.where(d >= 0.0, pos_max, neg_max)
+                poly = (p > 0) & (p < 1) & (q > 0) & (q < 1)
+                expected = np.where(
+                    poly, np.where(d_max > 0.0, d / d_max, 0.0), np.nan
+                )
+        got = ld_pairs(bm, pairs, stat=stat)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_zero_samples_rejected(self):
+        bm = BitMatrix.from_dense(np.zeros((0, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="zero samples"):
+            ld_pairs(bm, np.array([[0, 1]]))
+
 
 class TestLDResult:
     def test_lazy_h_computed_once(self, small_panel):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocking import BlockingParams
+from repro.core.engine import enumerate_tiles
 from repro.core.ldmatrix import ld_matrix
-from repro.core.windowed import BandedLDMatrix, banded_ld
+from repro.core.streaming import BandedNpySink
+from repro.core.windowed import BandedLDMatrix, banded_ld, write_banded_block
 
 SMALL_PARAMS = BlockingParams(mc=8, nc=8, kc=4, mr=4, nr=4)
 
@@ -92,6 +94,17 @@ class TestBandedLDMatrix:
         expected = sum(min(6, n - 1 - i) + 1 for i in range(n))
         assert band.n_pairs() == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("window", [0, 1, 2, 6, 15, 16, 40])
+    def test_n_pairs_closed_form_matches_brute_force(self, n, window):
+        band = BandedLDMatrix(
+            values=np.zeros((n, window + 1)), window=window, stat="r2"
+        )
+        brute = sum(
+            1 for i in range(n) for j in range(i, n) if j - i <= window
+        )
+        assert band.n_pairs() == brute
+
     def test_mean_by_distance_shape(self, band):
         means = band.mean_by_distance()
         assert means.shape == (7,)
@@ -109,3 +122,196 @@ class TestBandedLDMatrix:
         band = banded_ld(panel, window=10)
         defined_slots = band.n_pairs()
         assert defined_slots < 120 * 121 // 2 / 4  # far fewer than all pairs
+
+
+def _loop_write(values, window, i0, j0, block):
+    """The per-column scatter ``write_banded_block`` replaced, kept as
+    the reference the skewed-view write must reproduce exactly."""
+    rows, cols = block.shape
+    for b in range(cols):
+        j = j0 + b
+        lo = max(i0, j)
+        hi = min(i0 + rows - 1, j + window)
+        if hi < lo:
+            continue
+        d0 = lo - j
+        values[j, d0 : d0 + hi - lo + 1] = block[lo - i0 : hi - i0 + 1, b]
+
+
+SENTINEL = -7.25
+
+
+def _guarded_store(n, width, guard_rows=2):
+    """A ``(n, width)`` store carved from the interior of a larger flat
+    buffer whose guard rows before and after hold ``SENTINEL``.
+
+    Returns ``(flat, values, guard)``; every slot of *values* starts at a
+    distinct negative value so any stray write is visible.
+    """
+    guard = guard_rows * width
+    flat = np.full(2 * guard + n * width, SENTINEL)
+    values = flat[guard : guard + n * width].reshape(n, width)
+    values[:] = -1.0 - np.arange(n * width).reshape(n, width)
+    assert values.flags.c_contiguous and values.base is not None
+    return flat, values, guard
+
+
+@st.composite
+def _band_writes(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    # Store widths past n - 1 exercise slots no pair can ever reach.
+    width = draw(st.integers(min_value=1, max_value=n + 3))
+    window = draw(
+        st.one_of(
+            st.just(0),
+            st.just(width - 1),
+            st.integers(min_value=0, max_value=width - 1),
+        )
+    )
+    tiles = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        j0 = draw(st.integers(min_value=0, max_value=n - 1))
+        diagonal = draw(st.booleans())
+        i0 = j0 if diagonal else draw(st.integers(min_value=j0, max_value=n - 1))
+        rows = draw(st.integers(min_value=1, max_value=n - i0))
+        cols = rows if diagonal and draw(st.booleans()) else draw(
+            st.integers(min_value=1, max_value=n - j0)
+        )
+        tiles.append((i0, j0, rows, cols))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return n, width, window, tiles, seed
+
+
+class TestWriteBandedBlock:
+    """The skewed-view write: exactly the old per-column scatter, and no
+    write outside the buffer or outside the band."""
+
+    @given(case=_band_writes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_column_loop_and_stays_in_band(self, case):
+        n, width, window, tiles, seed = case
+        rng = np.random.default_rng(seed)
+        flat, values, guard = _guarded_store(n, width)
+        initial = values.copy()
+        expected = values.copy()
+        for i0, j0, rows, cols in tiles:
+            block = rng.random((rows, cols))
+            write_banded_block(values, window, i0, j0, block)
+            _loop_write(expected, window, i0, j0, block)
+            assert np.array_equal(values, expected)
+        assert np.all(flat[:guard] == SENTINEL)
+        assert np.all(flat[guard + n * width :] == SENTINEL)
+        # Slot (j, d) is in band iff d <= window and the pair (j + d, j)
+        # exists; nothing else may ever change.
+        j, d = np.indices(values.shape)
+        out_of_band = (d > window) | (j + d >= n)
+        assert np.array_equal(values[out_of_band], initial[out_of_band])
+
+    @pytest.mark.parametrize("window", [0, 1, 5, 13, 38])
+    @pytest.mark.parametrize("block_snps", [1, 4, 7, 39])
+    def test_every_dense_tile_delivers_the_band(self, window, block_snps):
+        """A dense sweep delivers tiles wholly outside the band (the
+        bench_banded dense run); the store must still hold exactly the
+        band slice of the symmetric matrix and nothing else."""
+        n = 38
+        rng = np.random.default_rng(window * 100 + block_snps)
+        full = rng.random((n, n))
+        full = np.tril(full) + np.tril(full, -1).T
+        flat, values, guard = _guarded_store(n, window + 1)
+        values[:] = np.nan
+        for tile in enumerate_tiles(n, block_snps):
+            write_banded_block(
+                values, window, tile.i0, tile.j0,
+                full[tile.i0 : tile.i1, tile.j0 : tile.j1],
+            )
+        expected = np.full((n, window + 1), np.nan)
+        for d in range(min(window, n - 1) + 1):
+            expected[: n - d, d] = np.diagonal(full, -d)
+        assert np.array_equal(values, expected, equal_nan=True)
+        assert np.all(flat[:guard] == SENTINEL)
+        assert np.all(flat[guard + values.size :] == SENTINEL)
+
+    def test_rejects_non_contiguous_store(self):
+        wide = np.full((8, 10), np.nan)
+        for store in (wide[:, ::2], np.asfortranarray(wide[:, :5])):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                write_banded_block(store, 4, 0, 0, np.zeros((2, 2)))
+
+    def test_rejects_upper_triangle_origin(self):
+        values = np.full((8, 5), np.nan)
+        with pytest.raises(ValueError, match="lower triangle"):
+            write_banded_block(values, 4, 2, 3, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="lower triangle"):
+            write_banded_block(values, 4, 2, -1, np.zeros((2, 2)))
+
+    def test_rejects_tile_past_last_row(self):
+        values = np.full((8, 5), np.nan)
+        with pytest.raises(ValueError, match="runs past"):
+            write_banded_block(values, 4, 6, 4, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="runs past"):
+            write_banded_block(values, 4, 7, 6, np.zeros((1, 3)))
+
+    def test_rejects_window_wider_than_store(self):
+        values = np.full((8, 5), np.nan)
+        with pytest.raises(ValueError, match="does not fit"):
+            write_banded_block(values, 5, 0, 0, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="does not fit"):
+            write_banded_block(values, -1, 0, 0, np.zeros((2, 2)))
+
+    def test_rejection_leaves_store_untouched(self):
+        values = np.full((8, 5), np.nan)
+        with pytest.raises(ValueError):
+            write_banded_block(values, 4, 7, 6, np.ones((1, 3)))
+        assert np.isnan(values).all()
+
+
+class TestBandedNpySinkMemmap:
+    """The sink hands ``write_banded_block`` an ``np.memmap``; its output
+    must equal the same tiles written into an in-RAM store."""
+
+    N, WINDOW, BLOCK = 45, 9, 8
+
+    @pytest.fixture
+    def deliveries(self):
+        from repro.core.banding import BandSpec
+
+        rng = np.random.default_rng(11)
+        band = BandSpec(window=self.WINDOW)
+        tiles = enumerate_tiles(self.N, self.BLOCK, band=band)
+        return [
+            (t.i0, t.j0, rng.random((t.i1 - t.i0, t.j1 - t.j0)))
+            for t in tiles
+        ]
+
+    def _in_ram(self, deliveries):
+        values = np.full((self.N, self.WINDOW + 1), np.nan)
+        for i0, j0, block in deliveries:
+            write_banded_block(values, self.WINDOW, i0, j0, block)
+        return values
+
+    def test_fresh_file_matches_in_ram(self, tmp_path, deliveries):
+        path = tmp_path / "band.npy"
+        with BandedNpySink(path, self.N, self.WINDOW) as sink:
+            assert isinstance(sink._memmap, np.memmap)
+            for i0, j0, block in deliveries:
+                sink(i0, j0, block)
+        assert np.array_equal(
+            np.load(path), self._in_ram(deliveries), equal_nan=True
+        )
+
+    def test_reopen_resumes_half_the_tiles(self, tmp_path, deliveries):
+        path = tmp_path / "band.npy"
+        half = len(deliveries) // 2
+        with BandedNpySink(path, self.N, self.WINDOW) as sink:
+            for i0, j0, block in deliveries[:half]:
+                sink(i0, j0, block)
+        partial = np.load(path)
+        assert np.array_equal(
+            partial, self._in_ram(deliveries[:half]), equal_nan=True
+        )
+        with BandedNpySink(path, self.N, self.WINDOW, mode="r+") as sink:
+            for i0, j0, block in deliveries[half:]:
+                sink(i0, j0, block)
+        assert np.array_equal(
+            np.load(path), self._in_ram(deliveries), equal_nan=True
+        )
