@@ -11,19 +11,19 @@ and-restart discipline second-generation PLINK uses to reach biobank sizes:
   loop also uses);
 - :func:`run_engine` schedules those tiles over one of four executors —
   ``serial`` (in-process loop), ``threads`` (GIL-released numpy workers),
-  ``processes`` (a per-run ``ProcessPoolExecutor`` whose workers attach
-  the packed words via ``multiprocessing.shared_memory``, so the genomic
-  matrix is mapped once instead of pickled per task), or ``persistent``
-  (a warm worker pool from :mod:`repro.core.executors` that outlives the
-  run, so successive calls against the same panel pay zero spawn or
-  attach cost). The execution strategies themselves live behind the
+  ``processes`` (a worker-process pool that lasts one run; workers
+  attach the packed words via ``multiprocessing.shared_memory``, so the
+  genomic matrix is mapped once instead of pickled per task), or
+  ``persistent`` (the same pool kept warm across runs, so successive
+  calls against the same panel pay zero spawn or attach cost). The
+  execution strategies themselves live behind the
   :class:`repro.core.executors.ExecutorBackend` interface;
 - :class:`TileManifest` journals every completed tile to disk (JSON lines
   with an input fingerprint and a per-record CRC32), so an interrupted run
   restarted with ``resume=True`` recomputes only the missing tiles;
 - failures are survived, not just reported: failing tiles are retried
   with exponential backoff and deterministic jitter, a crashed worker
-  pool is rebuilt, a pool that cannot be (re)spawned degrades
+  is respawned alone, a pool that cannot be spawned degrades
   ``processes → threads → serial``, tiles stuck past ``tile_timeout``
   trip a hung-worker watchdog, corrupted tile payloads are caught by a
   CRC32 on the worker→driver handoff and recomputed, and a tile that
@@ -241,7 +241,7 @@ class TileResult:
     thread name in-process, ``pid-<n>`` for pool processes — and an
     optional CRC32 of the payload taken in the worker, verified in the
     driver before the sink sees the block. The checksum is always on for
-    the ``processes`` handoff (shared memory + pickle is the corruption
+    the worker-process handoff (shared memory + pickle is the corruption
     surface) and whenever a fault plan is active.
 
     With span profiling enabled, ``phase_seconds`` carries the tile's
@@ -625,10 +625,11 @@ def run_engine(
         ``"r2"``, ``"D"``, or ``"H"``.
     engine:
         ``"serial"`` (in-process loop), ``"threads"`` (GIL-released numpy
-        workers), ``"processes"`` (per-run shared-memory worker pool), or
-        ``"persistent"`` (a warm worker pool that survives across
-        ``run_engine`` calls — see :mod:`repro.core.executors`; a second
-        run against the same panel performs zero pool spawns). When a
+        workers), ``"processes"`` (a shared-memory worker pool built for
+        this run and stopped when it returns or raises), or
+        ``"persistent"`` (the same pool kept warm across ``run_engine``
+        calls — see :mod:`repro.core.executors`; a second run against
+        the same panel performs zero pool spawns). When a
         worker pool repeatedly fails to spawn, execution degrades
         ``persistent/processes → threads → serial`` rather than
         aborting; the executor that finished is reported as
@@ -662,13 +663,12 @@ def run_engine(
         inputs and parameters (fingerprint-checked). Tiles journaled as
         *quarantined* are retried, not skipped.
     max_retries:
-        Times a failing tile is recomputed (and a crashed worker pool
-        rebuilt) before the tile is quarantined or the run abandoned.
+        Times a failing tile is recomputed (and a pool spawn retried)
+        before the tile is quarantined or the run abandoned.
     tile_timeout:
-        Per-tile wall-clock budget in seconds. Under ``processes`` a
-        hung worker is SIGKILLed and the pool rebuilt; under
-        ``persistent`` only the stuck worker is killed and respawned in
-        place; under ``threads`` the stuck future is orphaned and the
+        Per-tile wall-clock budget in seconds. Under ``processes`` and
+        ``persistent`` only the stuck worker is SIGKILLed and respawned
+        in place; under ``threads`` the stuck future is orphaned and the
         tile resubmitted; the serial loop checks post-hoc. ``None``
         (default) disables the watchdog.
     retry_backoff / retry_backoff_cap:
@@ -690,7 +690,7 @@ def run_engine(
         ``tile_computed`` per delivered tile (tile key, compute seconds,
         deliver/flush seconds, bytes written, worker id), one
         ``tile_skipped`` per journaled tile honoured on resume,
-        ``tile_retry`` / ``pool_restart`` per recovery action plus
+        ``tile_retry`` / ``worker_respawn`` per recovery action plus
         ``tile_corrupt`` / ``tile_timeout`` / ``tile_quarantined`` /
         ``pool_spawn_failed`` / ``executor_degraded`` for the hardened
         paths, and ``run_end`` — plus matching ``engine.*`` counters and
@@ -706,8 +706,9 @@ def run_engine(
         ``driver.wait``, ``driver.deliver``, ``driver.manifest_append``,
         ``driver.backoff``) record into it directly, in-process tiles
         record their GEMM phase spans into it per thread, and
-        ``processes`` workers install their own profiler and ship each
-        tile's phase breakdown back in ``TileResult.phase_seconds``
+        ``processes``/``persistent`` workers install their own profiler
+        and ship each tile's phase breakdown back in
+        ``TileResult.phase_seconds``
         (surfacing as ``phase.*`` timers and the ``phases`` field of
         ``tile_computed`` events when a recorder is attached). The
         default ``None`` leaves the no-op profiler active.
@@ -1043,29 +1044,6 @@ def run_engine(
                 phase_seconds=phases,
             )
 
-        def local_batch(
-            unit: tuple[TileTask, ...],
-            epochs: tuple[int, ...],
-            slot: int | None,
-        ) -> "_ex._BatchOutcome":
-            # Thread-pool twin of executors._run_batch_in_worker:
-            # per-tile outcomes so a failing tile cannot sink its
-            # batch-mates. No arena — thread workers share the driver's
-            # address space already.
-            items = []
-            for index, (tile, epoch) in enumerate(zip(unit, epochs)):
-                try:
-                    result = local_task(tile, epoch)
-                except Exception as error:  # noqa: BLE001 - in-band report
-                    items.append(
-                        _ex._TileOutcome(index=index, result=None, error=error)
-                    )
-                else:
-                    items.append(
-                        _ex._TileOutcome(index=index, result=result, error=None)
-                    )
-            return _ex._BatchOutcome(items=tuple(items))
-
         def resolve_batch_size(
             n_tiles: int, workers: int, current: str
         ) -> int:
@@ -1099,8 +1077,8 @@ def run_engine(
                 list(work) if store is not None else _ex._largest_first(work)
             )
             if current == "threads":
-                return _ex.ThreadsBackend(local_batch, workers, ctx), schedule, bsize
-            shared = dict(
+                return _ex.ThreadsBackend(local_task, workers, ctx), schedule, bsize
+            backend = _ex.PersistentBackend(
                 words=words,
                 freqs=freqs,
                 n_samples=matrix.n_samples,
@@ -1118,13 +1096,9 @@ def run_engine(
                 # worker maps it read-only, so no panel-sized
                 # shared-memory copy is ever made.
                 panel_path=str(store.path) if store is not None else None,
+                # `processes` runs the same pool for this run only.
+                warm=current == "persistent",
             )
-            if current == "processes":
-                backend = _ex.ProcessesBackend(
-                    n_units=-(-len(work) // bsize), **shared
-                )
-            else:  # persistent
-                backend = _ex.PersistentBackend(**shared)
             return backend, schedule, bsize
 
         def start_prefetch(current: str, work: list[TileTask]) -> None:

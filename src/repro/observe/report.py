@@ -78,7 +78,7 @@ _FAULT_KINDS = (
     "tile_corrupt",
     "tile_timeout",
     "tile_quarantined",
-    "pool_restart",
+    "worker_respawn",
     "pool_spawn_failed",
     "executor_degraded",
 )

@@ -213,7 +213,6 @@ class TestPersistentChaos:
         assert report.n_worker_respawns >= 1
         assert recorder.counters["engine.worker_respawns"] >= 1
         # The surviving worker's pool was never torn down and rebuilt.
-        assert "engine.pool_restarts" not in recorder.counters
         assert report.n_pool_spawns == 1
         np.testing.assert_array_equal(np.load(out), clean_matrix)
 
@@ -294,7 +293,6 @@ class TestPersistentChaos:
         assert warm.n_pool_spawns == 0
         assert warm.n_worker_respawns >= 1
         assert recorder.counters["engine.worker_respawns"] >= 1
-        assert "engine.pool_restarts" not in recorder.counters
         np.testing.assert_array_equal(np.load(second), clean_matrix)
 
     def test_quarantine_is_journaled_for_persistent_workers(

@@ -12,6 +12,8 @@ shared-memory leak detector for ``run_engine`` exception paths.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -318,9 +320,51 @@ class TestShmLeaks:
             run_engine(
                 panel, exploding, engine=engine, block_snps=9, n_workers=2
             )
-        stop_pools()  # persistent pools legitimately outlive the run
+        if engine == "persistent":
+            stop_pools()  # warm pools legitimately outlive the run
         leaked = _shm_segments() - before
         assert not leaked
+
+    @pytest.mark.parametrize(
+        "outcome", ["clean", "crashing_sink", "retry_exhaustion"]
+    )
+    def test_processes_run_leaves_no_pool_behind(
+        self, outcome, panel, tmp_path, monkeypatch
+    ):
+        # The `processes` pool lasts one run: whether the run returns or
+        # raises, nothing may outlive it — no registry entry, no journaled
+        # state, no worker process, no shm segment — with no stop_pools().
+        state = tmp_path / "pools.json"
+        monkeypatch.setenv("REPRO_POOL_STATE", str(state))
+        before = _shm_segments()
+        kwargs = dict(engine="processes", block_snps=9, n_workers=2)
+        if outcome == "clean":
+            report = run_engine(panel, lambda *a: None, **kwargs)
+            assert report.complete and report.n_pool_spawns == 1
+        elif outcome == "crashing_sink":
+
+            def exploding(i0, j0, block):
+                raise KeyboardInterrupt("sink failure")
+
+            with pytest.raises(KeyboardInterrupt):
+                run_engine(panel, exploding, **kwargs)
+        else:
+            plan = FaultPlan(seed=1, specs=(
+                FaultSpec(site="tile_compute", tile=(0, 0)),
+            ))
+            with pytest.raises(InjectedFault):
+                run_engine(
+                    panel, lambda *a: None, max_retries=1,
+                    retry_backoff=0.0, faults=plan, **kwargs,
+                )
+        assert executors_mod._POOLS == {}
+        entries = json.loads(state.read_text() or "[]") if state.exists() else []
+        assert entries == []
+        assert not [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-pool-")
+        ]
+        assert not _shm_segments() - before
 
     def test_retry_exhaustion_leaks_no_segments(self, panel):
         before = _shm_segments()

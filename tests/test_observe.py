@@ -352,13 +352,20 @@ class TestStreamingRecorder:
             panel, lambda *a: None, block_snps=9,
             recorder=rec, progress=progress,
         )
+        # The streaming wrapper speaks the engine's vocabulary: one
+        # in-process driver thread computes every tile.
         assert rec.event_count("tile_computed") == n_blocks
-        assert rec.counters["stream.tiles_computed"] == n_blocks
-        assert rec.timers["stream.tile_compute_seconds"].count == n_blocks
-        assert all(
-            e["worker"] == "driver"
-            for e in rec.events if e["kind"] == "tile_computed"
+        assert rec.counters["engine.tiles_computed"] == n_blocks
+        assert rec.counters["engine.pairs_computed"] == sum(
+            t.n_pairs for t in tiles
         )
+        assert rec.timers["engine.tile_compute_seconds"].count == n_blocks
+        assert rec.timers["engine.tile_deliver_seconds"].count == n_blocks
+        assert rec.event_count("run_start") == rec.event_count("run_end") == 1
+        workers = {
+            e["worker"] for e in rec.events if e["kind"] == "tile_computed"
+        }
+        assert len(workers) == 1
         assert progress.tiles_done == n_blocks
         assert buf.getvalue().count("\r") == n_blocks
 
@@ -479,7 +486,7 @@ class TestFaultEventTrace:
                 kinds.count(kind)
             )
 
-    def test_pool_restart_reaches_trace_and_payload(self, panel, tmp_path):
+    def test_worker_respawn_reaches_trace_and_payload(self, panel, tmp_path):
         plan = FaultPlan(specs=(
             FaultSpec(site="tile_compute", action="kill",
                       attempts_below=1, tile=(8, 0)),
@@ -490,11 +497,11 @@ class TestFaultEventTrace:
         )
         assert report.complete
         kinds = [l["kind"] for l in lines]
-        assert "pool_restart" in kinds
-        assert recorder.counters["engine.pool_restarts"] >= 1
+        assert "worker_respawn" in kinds
+        assert recorder.counters["engine.worker_respawns"] >= 1
         payload = recorder.summary()
-        assert payload["counters"]["events.pool_restart"] == (
-            kinds.count("pool_restart")
+        assert payload["counters"]["events.worker_respawn"] == (
+            kinds.count("worker_respawn")
         )
 
     def test_degradation_reaches_trace_and_payload(self, panel, tmp_path):
